@@ -87,14 +87,13 @@ fn bench_sim_rate(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dispatch_decoded_vs_interpreted(c: &mut Criterion) {
+fn bench_dispatch(c: &mut Criterion) {
     let mut g = c.benchmark_group("dispatch");
     // A steady-state ICU queue: one long streaming-copy program, simulated
-    // through the pre-decoded op cache vs. the interpreted oracle (which
-    // re-walks the instruction match tree per dispatch). Timing-only mode so
-    // the pair measures dispatch itself rather than data movement. The decode
-    // pass is memoized outside the decoded iteration, exactly as
-    // `CompiledModel::decoded` amortizes it in the harness.
+    // through the pre-decoded op cache. Timing-only mode so the bench
+    // measures dispatch itself rather than data movement. The decode pass is
+    // memoized outside the iteration, exactly as `CompiledModel::decoded`
+    // amortizes it in the harness.
     let mut sched = Scheduler::new();
     let n = 2048u32;
     let x = sched
@@ -117,12 +116,6 @@ fn bench_dispatch_decoded_vs_interpreted(c: &mut Criterion) {
         b.iter(|| {
             let mut chip = Chip::new(ChipConfig::asic());
             std::hint::black_box(chip.run_decoded(&decoded, &options).unwrap().cycles)
-        })
-    });
-    g.bench_function("interpreted", |b| {
-        b.iter(|| {
-            let mut chip = Chip::new(ChipConfig::asic());
-            std::hint::black_box(chip.run_interpreted(&program, &options).unwrap().cycles)
         })
     });
     g.finish();
@@ -239,7 +232,7 @@ criterion_group!(
     bench_mxm,
     bench_ecc,
     bench_sim_rate,
-    bench_dispatch_decoded_vs_interpreted,
+    bench_dispatch,
     bench_vector_add_end_to_end,
     bench_compile
 );

@@ -14,12 +14,10 @@
 //!   ResNets (counters variant only): how host throughput scales with model
 //!   depth.
 //!
-//! Each core workload runs in four **variants**: `counters` (the default
+//! Each core workload runs in three **variants**: `counters` (the default
 //! configuration), `nocounters` (utilization counters off — the baseline
-//! that prices the counters' host overhead, budgeted ≤ 5%), `trace` (full
-//! event tracing, the expensive observability ceiling) and `interpreted`
-//! (the pre-decoded op cache bypassed — pricing the decoded dispatch path,
-//! which every other variant uses).
+//! that prices the counters' host overhead, budgeted ≤ 5%) and `trace` (full
+//! event tracing, the expensive observability ceiling).
 //!
 //! Results land in `BENCH_SIM.json` (schema `tsp-simspeed-v4`, documented in
 //! DESIGN.md §6/§9/§10) so successive commits can be compared — the point is
@@ -96,11 +94,9 @@ fn bench(
     s
 }
 
-/// The four variants of one scenario: `(variant, options)` — the three
-/// telemetry configurations (all on the decoded dispatch path, the default)
-/// plus `interpreted`, which reruns the default configuration through the
-/// per-dispatch re-decoding oracle path.
-fn variants(base: RunOptions) -> [(&'static str, RunOptions); 4] {
+/// The three variants of one scenario: `(variant, options)`, one per
+/// telemetry configuration.
+fn variants(base: RunOptions) -> [(&'static str, RunOptions); 3] {
     [
         ("counters", base.clone()),
         (
@@ -114,13 +110,6 @@ fn variants(base: RunOptions) -> [(&'static str, RunOptions); 4] {
             "trace",
             RunOptions {
                 trace: true,
-                ..base.clone()
-            },
-        ),
-        (
-            "interpreted",
-            RunOptions {
-                decoded: false,
                 ..base
             },
         ),
@@ -198,18 +187,14 @@ fn main() {
                 let mut chip = Chip::new(ChipConfig::asic());
                 model.load_constants(&mut chip);
                 model.write_input(&mut chip, &qi);
-                if options.decoded {
-                    chip.run_decoded(&decoded, &options).unwrap()
-                } else {
-                    chip.run_interpreted(&model.program, &options).unwrap()
-                }
+                chip.run_decoded(&decoded, &options).unwrap()
             },
         ));
     }
 
     // Depth-scaling rows: the deeper standard ResNets, default configuration
-    // only (the variant matrix on ResNet-50 already prices telemetry and
-    // dispatch; these rows track how throughput scales with model size).
+    // only (the variant matrix on ResNet-50 already prices telemetry; these
+    // rows track how throughput scales with model size).
     for (name, (model, qi)) in [
         ("resnet101_functional", resnet101_model()),
         ("resnet152_functional", resnet152_model()),
@@ -268,23 +253,6 @@ fn main() {
         {
             let overhead = base.mcycles_per_sec() / s.mcycles_per_sec() - 1.0;
             println!("  {:<22} {:>+6.1}%", s.name, overhead * 100.0);
-        }
-    }
-
-    // Decoded dispatch speedup: default (decoded) vs the interpreted oracle.
-    println!();
-    println!("decoded dispatch speedup vs interpreted baseline:");
-    for s in &report.workloads {
-        if s.variant != "counters" {
-            continue;
-        }
-        if let Some(base) = report
-            .workloads
-            .iter()
-            .find(|b| b.variant == "interpreted" && b.name == s.name)
-        {
-            let speedup = s.mcycles_per_sec() / base.mcycles_per_sec();
-            println!("  {:<22} {:>6.2}x", s.name, speedup);
         }
     }
 

@@ -11,13 +11,11 @@
 //! per-workload throughput summaries of prior runs, appended by `simspeed`
 //! each time it overwrites an existing report.
 //!
-//! v4 over v3 (DESIGN.md §10): the variant set gains `interpreted` — the
-//! same scenario with the pre-decoded op cache bypassed, so each report
-//! records the decoded-vs-interpreted dispatch speedup alongside the
-//! telemetry variants (which all execute through the decoded path, the
-//! default since pre-decoding landed). The document shape is unchanged; the
-//! parser still accepts v3 and v2 artifacts, so committed trajectories
-//! survive the bump.
+//! v4 over v3 (DESIGN.md §10): the variant set gained `interpreted` — the
+//! same scenario through a second, re-decoding dispatch path. That path is
+//! gone, so new reports no longer emit the variant, but v4 artifacts that
+//! carry it still parse. The document shape is unchanged; the parser still
+//! accepts v3 and v2 artifacts, so committed trajectories survive the bump.
 
 use tsp_telemetry::json::Json;
 use tsp_telemetry::Telemetry;
@@ -43,9 +41,8 @@ pub struct WorkloadSample {
     /// Simulation mode: `functional` or `timing`.
     pub mode: String,
     /// Variant: `counters` (default), `nocounters` (counters off — the
-    /// overhead baseline), `trace` (full tracing) or `interpreted` (the
-    /// pre-decoded op cache bypassed — the dispatch-speed baseline; all
-    /// other variants execute through the decoded path).
+    /// overhead baseline) or `trace` (full tracing). Older v4 artifacts
+    /// also hold `interpreted` rows from the retired second dispatch path.
     pub variant: String,
     /// Host repetitions accumulated into this sample.
     pub runs: u32,
@@ -438,6 +435,18 @@ mod tests {
         let text = sample_report().to_json().replace("-v4", "-v3");
         let back = SimspeedReport::from_json(&text).expect("v3 parses");
         assert_eq!(back, sample_report());
+    }
+
+    /// The committed baseline `simspeed --gate` compares against still
+    /// parses — `interpreted` rows included — and holds the gated row.
+    #[test]
+    fn committed_baseline_parses_with_gate_row() {
+        let text = include_str!("../../../BENCH_SIM.json");
+        let report = SimspeedReport::from_json(text).expect("committed BENCH_SIM.json parses");
+        let gated = report
+            .find("resnet50_functional", "functional", "counters")
+            .expect("gate row present");
+        assert!(gated.mcycles_per_sec() > 0.0);
     }
 
     #[test]

@@ -1,25 +1,26 @@
 //! Pre-decoded instruction representation for the dispatch hot loop.
 //!
-//! The interpreted simulator re-walks the nested `Instruction`/`IcuOp`/…
-//! match tree, recomputes `time_model()`, and re-validates routing on every
-//! dispatch — including once per folded `Repeat` iteration and once per MXM
-//! burst row. All of that is a pure function of the *program text* and the
-//! queue it sits on, so it can be done once: [`decode_queue`] lowers a
-//! queue's instruction list into a flat [`DecodedOp`] vector with
+//! Walking the nested `Instruction`/`IcuOp`/… match tree, recomputing
+//! `time_model()` and validating routing on every dispatch — once per folded
+//! `Repeat` iteration and once per MXM burst row — would redo work that is a
+//! pure function of the *program text* and the queue it sits on. So it is
+//! done once: [`decode_queue`] lowers a queue's instruction list into a flat
+//! [`DecodedOp`] vector with
 //!
 //! * repeat/burst expansions folded into explicit **op spans** (`n`
 //!   iterations, `stride` cycles apart, MEM address auto-increment carried as
 //!   a word offset instead of a rewritten instruction);
-//! * `d_func` and routing/shape validation **pre-resolved** — statically
-//!   detectable errors become [`DecodedOp::Invalid`] ops that raise the
-//!   exact interpreted error when (and only when) they are dispatched;
+//! * `d_func`, routing (the decode-time `routes` check) and shape
+//!   validation **pre-resolved** — statically detectable errors become
+//!   [`DecodedOp::Invalid`] ops that raise their error when (and only when)
+//!   they are dispatched;
 //! * a small, shallow enum the simulator dispatches on with a single match —
 //!   no per-dispatch instruction cloning or string formatting.
 //!
-//! Decoding is semantics-preserving by construction: the simulator's decoded
-//! executor is pinned bit-identical to the interpreted oracle (cycles,
-//! results, telemetry, trace bytes, errors) by the `decoded_oracle` test
-//! suite in `tsp-sim`.
+//! The simulator's only dispatch path executes these ops. The lowering is
+//! checked against a direct per-dispatch reading of queue text — `Repeat`
+//! copies and address walks, burst rows, delays, counters and errors — by
+//! `tests/decode_reference.rs`.
 
 use crate::dtype::DataType;
 use crate::icu::IcuOp;
@@ -67,13 +68,13 @@ pub struct InvalidOp {
     /// The error variant to raise.
     pub kind: InvalidKind,
     /// Rendered instruction (for `WrongSlice`) or reason (for
-    /// `InvalidInstruction`) — exactly the string the interpreter produces.
+    /// `InvalidInstruction`) — exactly the string the raised error carries.
     pub detail: String,
 }
 
 /// One decoded dispatch-queue entry. Exactly one per source [`Instruction`]
-/// (spans fold a `Repeat` or burst's iterations into their one op), so
-/// decoded and interpreted queue depths coincide.
+/// (spans fold a `Repeat` or burst's iterations into their one op), so a
+/// queue's pending op count is its pending instruction count.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecodedOp {
     /// `NOP(count)`: advance this queue's dispatch clock.
@@ -170,8 +171,8 @@ pub enum DecodedOp {
         /// Cycles between iterations.
         stride: u16,
     },
-    /// A statically detected error; dispatching it raises the interpreted
-    /// error at the dispatch cycle.
+    /// A statically detected error; dispatching it raises the error at the
+    /// dispatch cycle.
     Invalid(Box<InvalidOp>),
 }
 
@@ -199,8 +200,8 @@ fn invalid(detail: String) -> DecodedOp {
     }))
 }
 
-/// Whether `class` can execute `instr` (the static half of the simulator's
-/// routing validation; ICU ops route everywhere).
+/// Whether `class` can execute `instr` — the decode-time routing check, the
+/// only one there is (ICU ops route everywhere).
 fn routes(class: QueueClass, instr: &Instruction) -> bool {
     match instr {
         Instruction::Icu(_) => true,
@@ -212,9 +213,9 @@ fn routes(class: QueueClass, instr: &Instruction) -> bool {
     }
 }
 
-/// Lowers one *issueable* instruction (anything the interpreter routes
-/// through its single-cycle `issue` path) into a span of `n` iterations.
-/// `off` is the MEM word offset of iteration 0.
+/// Lowers one *issueable* instruction (a single-cycle MEM, VXM, SXM, C2C or
+/// `IW` op) into a span of `n` iterations. `off` is the MEM word offset of
+/// iteration 0.
 fn decode_issue(
     class: QueueClass,
     instr: &Instruction,

@@ -278,12 +278,7 @@ pub fn run_resilient(
             ..options.base.clone()
         };
         report.attempts += 1;
-        let outcome = if run_options.decoded {
-            chip.run_decoded(&model.decoded(), &run_options)
-        } else {
-            chip.run_interpreted(&model.program, &run_options)
-        };
-        match outcome {
+        match chip.run_decoded(&model.decoded(), &run_options) {
             Ok(run) => {
                 report.retried = report.attempts - 1;
                 report.corrected += run.ecc_corrected;

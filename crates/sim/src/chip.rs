@@ -21,8 +21,7 @@ use tsp_arch::{vector, ChipConfig, Cycle, Position, StreamId, Vector, SUPERLANES
 use tsp_faults::{FaultEvent, FaultKind, FaultPlan};
 use tsp_isa::decoded::{decode_step, DecodedOp, InvalidKind, QueueClass};
 use tsp_isa::{
-    encode::decode_fetch_block, C2cOp, DataType, IcuOp, Instruction, LinkId, MemOp, MxmOp, SxmOp,
-    VxmOp,
+    encode::decode_fetch_block, C2cOp, DataType, Instruction, LinkId, MemOp, MxmOp, SxmOp, VxmOp,
 };
 use tsp_mem::ecc::{self, ErrorSite};
 use tsp_mem::{bandwidth::Traffic, BandwidthMeter, Memory};
@@ -63,12 +62,6 @@ pub struct RunOptions {
     /// `tsp-faults`): each event strikes before the first dispatch at or
     /// after its cycle. Empty by default — fault-free runs pay nothing.
     pub faults: FaultPlan,
-    /// Execute through the pre-decoded op cache ([`Chip::run_decoded`],
-    /// the default) instead of re-decoding instruction text per dispatch
-    /// ([`Chip::run_interpreted`], kept as the reference oracle). The two
-    /// paths are bit-identical — cycles, results, telemetry, trace and
-    /// errors — pinned by the `decoded_oracle` test suite.
-    pub decoded: bool,
     /// Layer-boundary markers (sorted by `end`, as the compiler emits them —
     /// `CompiledModel::layer_marks`). Non-empty turns on per-layer counter
     /// slicing: [`RunReport::layers`] gets one [`LayerSlice`] per mark whose
@@ -87,7 +80,6 @@ impl Default for RunOptions {
             cycle_limit: 50_000_000,
             functional: true,
             faults: FaultPlan::empty(),
-            decoded: true,
             layers: Vec::new(),
         }
     }
@@ -130,36 +122,12 @@ pub struct RunReport {
     pub layers: Vec<LayerSlice>,
 }
 
-#[derive(Debug)]
-enum Burst {
-    /// Multi-row MXM instruction; `row` is the next row to execute.
-    Mxm { op: MxmOp, row: u16, rows: u16 },
-    /// `Repeat n,d` of the previous instruction; MEM addresses auto-increment
-    /// one word per iteration (modeling choice, DESIGN.md §2).
-    Repeat {
-        instr: Instruction,
-        iter: u16,
-        n: u16,
-        d: u16,
-    },
-}
-
-#[derive(Debug)]
-struct QueueState {
-    icu: IcuId,
-    position: Option<Position>,
-    instructions: Vec<Instruction>,
-    pc: usize,
-    burst: Option<Burst>,
-    barriers: u32,
-}
-
 /// Per-queue cursor over a [`DecodedProgram`]: `pc` indexes decoded ops
 /// (`base`, then the runtime `Ifetch` `overlay`), `sub` the iteration within
-/// the current op span. One decoded op per source instruction, so `pc`
-/// doubles as the interpreted raw-instruction cursor for depth accounting.
+/// the current op span. One decoded op per source instruction, so
+/// `len() - pc` is the queue's pending-instruction depth.
 #[derive(Debug)]
-struct DecodedQueueState<'p> {
+struct QueueState<'p> {
     icu: IcuId,
     position: Option<Position>,
     class: QueueClass,
@@ -174,7 +142,7 @@ struct DecodedQueueState<'p> {
     barriers: u32,
 }
 
-impl DecodedQueueState<'_> {
+impl QueueState<'_> {
     fn len(&self) -> usize {
         self.base.len() + self.overlay.len()
     }
@@ -239,44 +207,43 @@ impl Chip {
 
     /// Runs a program to completion.
     ///
-    /// Dispatches through the pre-decoded op cache by default
-    /// ([`RunOptions::decoded`]); decoding here is one pass over the program
-    /// text. Callers that run the same program repeatedly should memoize a
-    /// [`DecodedProgram`] and call [`Chip::run_decoded`] directly.
+    /// Decodes the program (one pass over its text) and runs it through
+    /// [`Chip::run_decoded`]. Callers that run the same program repeatedly
+    /// should memoize a [`DecodedProgram`] and call `run_decoded` directly.
     ///
     /// # Errors
     ///
     /// Any [`SimError`]: scheduling contract violations, uncorrectable ECC
     /// errors, deadlock, or the cycle budget.
     pub fn run(&mut self, program: &Program, options: &RunOptions) -> Result<RunReport, SimError> {
-        if options.decoded {
-            let decoded = DecodedProgram::decode(program);
-            self.run_decoded(&decoded, options)
-        } else {
-            self.run_interpreted(program, options)
-        }
+        self.run_decoded(&DecodedProgram::decode(program), options)
     }
 
-    /// Runs a program through the interpreted dispatch path: every dispatch
-    /// re-walks the instruction match tree. Kept as the reference oracle the
-    /// decoded path is pinned against; see [`Chip::run_decoded`].
+    /// Runs a pre-decoded program to completion: the event-driven scheduler
+    /// walks flat decoded op spans, so the hot loop touches no instruction
+    /// text, recomputes no time models, and re-validates no routing (the
+    /// decoder resolved all three once, up front).
     ///
     /// # Errors
     ///
     /// Any [`SimError`], exactly as [`Chip::run`].
-    pub fn run_interpreted(
+    pub fn run_decoded(
         &mut self,
-        program: &Program,
+        program: &DecodedProgram,
         options: &RunOptions,
     ) -> Result<RunReport, SimError> {
-        let mut queues: Vec<QueueState> = program
-            .queues()
-            .map(|(icu, instrs)| QueueState {
-                icu,
+        let mut queues: Vec<QueueState<'_>> = program
+            .queues
+            .iter()
+            .map(|(icu, dq)| QueueState {
+                icu: *icu,
                 position: icu.position(),
-                instructions: instrs.to_vec(),
+                class: crate::decoded::class_of(*icu),
+                base: &dq.ops,
+                overlay: Vec::new(),
+                tail: dq.tail.clone(),
                 pc: 0,
-                burst: None,
+                sub: 0,
                 barriers: 0,
             })
             .collect();
@@ -294,17 +261,19 @@ impl Chip {
             slicer: LayerSlicer::new(options.layers.clone()),
         };
         for q in &queues {
-            ctx.queue_depth(q.instructions.len());
+            ctx.queue_depth(q.len());
         }
 
         // (time, queue index) min-heap; queue index breaks ties, giving a
         // fixed deterministic order (though order within a cycle is
         // immaterial: writes never take effect at their dispatch cycle).
+        // Each queue holds at most one key, so the pop order depends only on
+        // the set of keys, never on the order they were pushed.
         debug_assert!(queues.len() <= 256, "heap key packs queue index in 8 bits");
         let mut heap: BinaryHeap<Reverse<u64>> = queues
             .iter()
             .enumerate()
-            .filter(|(_, q)| !q.instructions.is_empty())
+            .filter(|(_, q)| q.len() > 0)
             .map(|(i, _)| Reverse(i as u64))
             .collect();
         let mut parked: Vec<(usize, Cycle)> = Vec::new();
@@ -344,44 +313,28 @@ impl Chip {
             }
             match self.step(&mut queues[qi], t, &mut ctx)? {
                 Step::NextAt(next) => {
-                    // `next == t` is legal (a Repeat's first folded iteration);
-                    // progress is guaranteed because every step advances the
-                    // queue's pc or burst cursor.
+                    // Every step advances the queue's pc or span cursor.
                     debug_assert!(next >= t, "queue went backwards in time");
                     heap.push(Reverse((next << 8) | qi as u64));
                 }
-                Step::Parked => {
-                    // Wake immediately if the matching notify already fired.
-                    let gen = queues[qi].barriers as usize;
-                    if let Some(&nt) = ctx.notify_times.get(gen) {
-                        let resume = resume_after_barrier(t, nt);
-                        let q = &mut queues[qi];
-                        q.pc += 1;
-                        q.barriers += 1;
-                        heap.push(Reverse((resume << 8) | qi as u64));
-                    } else {
-                        parked.push((qi, t));
-                    }
-                }
+                Step::Parked => parked.push((qi, t)),
                 Step::Done => {}
             }
-            // A Notify may have just fired: wake every parked queue whose
-            // generation it satisfies.
+            // Wake every parked queue whose barrier generation has fired —
+            // including one that just parked after its Notify already did.
+            // The emptiness check keeps the out-of-line `retain` call off
+            // the common dispatch.
             if !parked.is_empty() {
-                let mut still = Vec::new();
-                for (pqi, pt) in parked.drain(..) {
-                    let gen = queues[pqi].barriers as usize;
-                    if let Some(&nt) = ctx.notify_times.get(gen) {
-                        let resume = resume_after_barrier(pt, nt);
-                        let q = &mut queues[pqi];
-                        q.pc += 1;
-                        q.barriers += 1;
-                        heap.push(Reverse((resume << 8) | pqi as u64));
-                    } else {
-                        still.push((pqi, pt));
-                    }
-                }
-                parked = still;
+                parked.retain(|&(pqi, pt)| {
+                    let q = &mut queues[pqi];
+                    let Some(&nt) = ctx.notify_times.get(q.barriers as usize) else {
+                        return true;
+                    };
+                    q.pc += 1;
+                    q.barriers += 1;
+                    heap.push(Reverse((resume_after_barrier(pt, nt) << 8) | pqi as u64));
+                    false
+                });
             }
         }
 
@@ -415,164 +368,19 @@ impl Chip {
         })
     }
 
-    /// Runs a pre-decoded program to completion: the event-driven scheduler
-    /// walks flat decoded op spans, so the hot loop touches no instruction
-    /// text, recomputes no time models, and re-validates no routing. The
-    /// event loop below is a line-for-line twin of
-    /// [`Chip::run_interpreted`]'s — the `decoded_oracle` suite pins the two
-    /// bit-identical, so any edit here must land there too.
+    /// One dispatch. Span ops execute iteration `sub` and re-arm at
+    /// `t + stride`, so folded `Repeat` iterations and MXM burst rows cost
+    /// one shallow match each. A `Repeat` span's first iteration lands at
+    /// the `Repeat`'s own dispatch cycle (the ICU folds the repeat into
+    /// issue); a span counts once in `instructions`, at iteration 0.
     ///
-    /// # Errors
-    ///
-    /// Any [`SimError`], exactly as [`Chip::run`].
-    pub fn run_decoded(
+    /// The unit ops called here (`mem_op`, `vxm_op`, `sxm_op`, `c2c_op`,
+    /// `mxm_row`) are `#[inline(never)]` so that this function stays small
+    /// enough to inline into the event loop: inlining them here instead made
+    /// timing-only ResNet-50 dispatch about 10% slower.
+    fn step(
         &mut self,
-        program: &DecodedProgram,
-        options: &RunOptions,
-    ) -> Result<RunReport, SimError> {
-        let mut queues: Vec<DecodedQueueState<'_>> = program
-            .queues
-            .iter()
-            .map(|(icu, dq)| DecodedQueueState {
-                icu: *icu,
-                position: icu.position(),
-                class: crate::decoded::class_of(*icu),
-                base: &dq.ops,
-                overlay: Vec::new(),
-                tail: dq.tail.clone(),
-                pc: 0,
-                sub: 0,
-                barriers: 0,
-            })
-            .collect();
-
-        let mut ctx = RunCtx {
-            trace: Trace::with_capacity(options.trace, options.trace_capacity),
-            telemetry: Telemetry::new(),
-            counters: options.counters,
-            bandwidth: BandwidthMeter::new(),
-            last_effect: 0,
-            instructions: 0,
-            nops: 0,
-            notify_times: Vec::new(),
-            functional: options.functional,
-            slicer: LayerSlicer::new(options.layers.clone()),
-        };
-        for q in &queues {
-            ctx.queue_depth(q.len());
-        }
-
-        debug_assert!(queues.len() <= 256, "heap key packs queue index in 8 bits");
-        let mut heap: BinaryHeap<Reverse<u64>> = queues
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.len() > 0)
-            .map(|(i, _)| Reverse(i as u64))
-            .collect();
-        let mut parked: Vec<(usize, Cycle)> = Vec::new();
-
-        let fault_events = options.faults.events();
-        let mut next_fault = 0usize;
-        let (mut faults_applied, mut faults_vacant) = (0u64, 0u64);
-
-        // Keys pack (cycle, queue) as `t << 8 | qi`: one u64 comparison per
-        // sift step, same (time, queue-index) order as the tuple key.
-        while let Some(Reverse(key)) = heap.pop() {
-            let (t, qi) = (key >> 8, (key & 0xFF) as usize);
-            if t > options.cycle_limit {
-                return Err(SimError::CycleLimit {
-                    limit: options.cycle_limit,
-                });
-            }
-            // Layer slicing: prior pops all had cycle <= t, so crossing a
-            // boundary here means the ending layer's events are complete.
-            if t >= ctx.slicer.next_end {
-                ctx.slicer.seal_to(t, &ctx.telemetry);
-            }
-            while let Some(event) = fault_events.get(next_fault).filter(|e| e.cycle <= t) {
-                next_fault += 1;
-                if self.apply_fault(event) {
-                    faults_applied += 1;
-                } else {
-                    faults_vacant += 1;
-                }
-            }
-            match self.dstep(&mut queues[qi], t, &mut ctx)? {
-                Step::NextAt(next) => {
-                    debug_assert!(next >= t, "queue went backwards in time");
-                    heap.push(Reverse((next << 8) | qi as u64));
-                }
-                Step::Parked => {
-                    let gen = queues[qi].barriers as usize;
-                    if let Some(&nt) = ctx.notify_times.get(gen) {
-                        let resume = resume_after_barrier(t, nt);
-                        let q = &mut queues[qi];
-                        q.pc += 1;
-                        q.barriers += 1;
-                        heap.push(Reverse((resume << 8) | qi as u64));
-                    } else {
-                        parked.push((qi, t));
-                    }
-                }
-                Step::Done => {}
-            }
-            if !parked.is_empty() {
-                let mut still = Vec::new();
-                for (pqi, pt) in parked.drain(..) {
-                    let gen = queues[pqi].barriers as usize;
-                    if let Some(&nt) = ctx.notify_times.get(gen) {
-                        let resume = resume_after_barrier(pt, nt);
-                        let q = &mut queues[pqi];
-                        q.pc += 1;
-                        q.barriers += 1;
-                        heap.push(Reverse((resume << 8) | pqi as u64));
-                    } else {
-                        still.push((pqi, pt));
-                    }
-                }
-                parked = still;
-            }
-        }
-
-        if !parked.is_empty() {
-            return Err(SimError::Deadlock {
-                parked: parked.len(),
-                sites: parked
-                    .iter()
-                    .map(|&(qi, at)| (queues[qi].icu, at))
-                    .collect(),
-            });
-        }
-
-        faults_vacant += (fault_events.len() - next_fault) as u64;
-
-        ctx.telemetry.dropped_events = ctx.trace.dropped_events();
-        let layers = ctx.slicer.finish(&ctx.telemetry);
-        Ok(RunReport {
-            cycles: ctx.last_effect + Cycle::from(tsp_arch::timing::SLICE_TILES),
-            instructions: ctx.instructions,
-            nops: ctx.nops,
-            trace: ctx.trace,
-            telemetry: ctx.telemetry,
-            bandwidth: ctx.bandwidth,
-            ecc_corrected: self.memory.errors.corrected(),
-            faults_applied,
-            faults_vacant,
-            egress: std::mem::take(&mut self.egress),
-            layers,
-        })
-    }
-
-    /// One decoded dispatch. Span ops execute iteration `sub` and re-arm at
-    /// `t + stride`; folded `Repeat` iterations and MXM burst rows therefore
-    /// cost one shallow match each instead of a re-decode. Mirrors the
-    /// timing/counter behaviour of [`Chip::step`] + [`Chip::issue`] exactly:
-    /// a span's first iteration lands at the cycle the interpreted path
-    /// dispatches the `Repeat` (its setup pop re-arms at the same cycle and
-    /// is immediately re-popped, so folding it away is unobservable).
-    fn dstep(
-        &mut self,
-        q: &mut DecodedQueueState<'_>,
+        q: &mut QueueState<'_>,
         t: Cycle,
         ctx: &mut RunCtx,
     ) -> Result<Step, SimError> {
@@ -620,7 +428,7 @@ impl Chip {
             DecodedOp::Ifetch { stream } => {
                 let stream = *stream;
                 ctx.instructions += 1;
-                self.difetch(q, stream, t, ctx)?;
+                self.ifetch(q, stream, t, ctx)?;
                 q.pc += 1;
                 Ok(Step::NextAt(t + 2))
             }
@@ -659,7 +467,7 @@ impl Chip {
                 }
                 let pos = q.position.expect("decode rejects data ops on host queues");
                 // Folded Read/Write iterations walk one word per iteration
-                // (same u16 arithmetic and bound as `repeat_iteration`).
+                // (modeling choice, DESIGN.md §2), erroring past word 8191.
                 let eff = if off == 0 {
                     op
                 } else {
@@ -791,21 +599,19 @@ impl Chip {
         }
     }
 
-    /// [`Chip::ifetch`] for the decoded path: fetched instruction text is
-    /// decoded immediately (threading the queue's `tail` through as the
-    /// `Repeat` predecessor) and appended to the runtime overlay.
-    fn difetch(
+    /// Fetches 640 bytes of instruction text — a pair of 320-byte vectors on
+    /// consecutive cycles — and decodes it at once (threading the queue's
+    /// `tail` through as the `Repeat` predecessor) onto the runtime overlay.
+    /// The text is decoded even in timing-only runs, so it is always
+    /// ECC-checked.
+    fn ifetch(
         &mut self,
-        q: &mut DecodedQueueState<'_>,
+        q: &mut QueueState<'_>,
         stream: StreamId,
         t: Cycle,
         ctx: &mut RunCtx,
     ) -> Result<(), SimError> {
-        let pos = q.position.ok_or_else(|| SimError::WrongSlice {
-            icu: q.icu,
-            instruction: "Ifetch".into(),
-            cycle: t,
-        })?;
+        let pos = q.position.expect("decode rejects Ifetch on host queues");
         let lo = self.read_consume(q.icu, stream, pos, t, true)?;
         let hi = self.read_consume(q.icu, stream, pos, t + 1, true)?;
         let mut text = Vec::with_capacity(640);
@@ -817,6 +623,7 @@ impl Chip {
             cycle: t,
         })?;
         ctx.bandwidth.record(Traffic::InstructionFetch, 640);
+        // The fetch occupies the queue's front end for both read cycles.
         ctx.note_span(t, 2, q.icu, ActivityKind::Ifetch, self.active_lanes());
         for instr in fetched {
             q.overlay
@@ -890,177 +697,6 @@ impl Chip {
             ));
         }
         out
-    }
-
-    fn step(&mut self, q: &mut QueueState, t: Cycle, ctx: &mut RunCtx) -> Result<Step, SimError> {
-        // Continue an in-flight burst first.
-        if let Some(burst) = q.burst.take() {
-            match burst {
-                Burst::Mxm { op, row, rows } => {
-                    self.mxm_row(q.icu, &op, row, t, ctx)?;
-                    if row + 1 >= rows {
-                        q.pc += 1;
-                    } else {
-                        q.burst = Some(Burst::Mxm {
-                            op,
-                            row: row + 1,
-                            rows,
-                        });
-                    }
-                    return Ok(Step::NextAt(t + 1));
-                }
-                Burst::Repeat { instr, iter, n, d } => {
-                    let stride = Cycle::from(d.max(1));
-                    let this = repeat_iteration(&instr, iter, q.icu, t)?;
-                    if iter + 1 >= n {
-                        q.pc += 1;
-                    } else {
-                        q.burst = Some(Burst::Repeat {
-                            instr,
-                            iter: iter + 1,
-                            n,
-                            d,
-                        });
-                    }
-                    self.issue(q, &this, t, ctx)?;
-                    return Ok(Step::NextAt(t + stride));
-                }
-            }
-        }
-
-        let Some(instr) = q.instructions.get(q.pc).cloned() else {
-            return Ok(Step::Done);
-        };
-
-        match &instr {
-            Instruction::Icu(IcuOp::Nop { count }) => {
-                ctx.nops += 1;
-                q.pc += 1;
-                Ok(Step::NextAt(t + Cycle::from((*count).max(1))))
-            }
-            Instruction::Icu(IcuOp::Sync) => {
-                ctx.instructions += 1;
-                Ok(Step::Parked)
-            }
-            Instruction::Icu(IcuOp::Notify) => {
-                ctx.instructions += 1;
-                let gen = q.barriers as usize;
-                if ctx.notify_times.len() != gen {
-                    return Err(SimError::InvalidInstruction {
-                        reason: format!("Notify for barrier generation {gen} out of order"),
-                        icu: q.icu,
-                        cycle: t,
-                    });
-                }
-                ctx.notify_times.push(t);
-                q.pc += 1;
-                q.barriers += 1;
-                Ok(Step::NextAt(resume_after_barrier(t, t)))
-            }
-            Instruction::Icu(IcuOp::Config { superlanes }) => {
-                ctx.instructions += 1;
-                self.config.superlanes_enabled = usize::from(*superlanes).clamp(1, SUPERLANES);
-                q.pc += 1;
-                Ok(Step::NextAt(t + 1))
-            }
-            Instruction::Icu(IcuOp::Repeat { n, d }) => {
-                ctx.instructions += 1;
-                if q.pc == 0 {
-                    return Err(SimError::InvalidInstruction {
-                        reason: "Repeat with no previous instruction".into(),
-                        icu: q.icu,
-                        cycle: t,
-                    });
-                }
-                let prev = q.instructions[q.pc - 1].clone();
-                if *n == 0 {
-                    q.pc += 1;
-                    return Ok(Step::NextAt(t + 1));
-                }
-                q.burst = Some(Burst::Repeat {
-                    instr: prev,
-                    iter: 0,
-                    n: *n,
-                    d: *d,
-                });
-                // The first repeat iteration executes at the Repeat's own
-                // dispatch cycle (the ICU folds the repeat into issue).
-                Ok(Step::NextAt(t))
-            }
-            Instruction::Icu(IcuOp::Ifetch { stream }) => {
-                ctx.instructions += 1;
-                self.ifetch(q, *stream, t, ctx)?;
-                q.pc += 1;
-                Ok(Step::NextAt(t + 2))
-            }
-            Instruction::Mxm(
-                op @ (MxmOp::LoadWeights { .. }
-                | MxmOp::ActivationBuffer { .. }
-                | MxmOp::Accumulate { .. }),
-            ) => {
-                ctx.instructions += 1;
-                validate_routing(q.icu, &instr, t)?;
-                let rows = match op {
-                    MxmOp::LoadWeights { rows, .. } => u16::from(*rows),
-                    MxmOp::ActivationBuffer { rows, .. } | MxmOp::Accumulate { rows, .. } => *rows,
-                    MxmOp::InstallWeights { .. } => unreachable!("IW handled by issue()"),
-                };
-                self.mxm_row(q.icu, op, 0, t, ctx)?;
-                if rows <= 1 {
-                    q.pc += 1;
-                } else {
-                    q.burst = Some(Burst::Mxm {
-                        op: *op,
-                        row: 1,
-                        rows,
-                    });
-                }
-                Ok(Step::NextAt(t + 1))
-            }
-            _ => {
-                ctx.instructions += 1;
-                self.issue(q, &instr, t, ctx)?;
-                q.pc += 1;
-                Ok(Step::NextAt(t + 1))
-            }
-        }
-    }
-
-    /// Executes a single-cycle instruction dispatched at `t`.
-    fn issue(
-        &mut self,
-        q: &QueueState,
-        instr: &Instruction,
-        t: Cycle,
-        ctx: &mut RunCtx,
-    ) -> Result<(), SimError> {
-        validate_routing(q.icu, instr, t)?;
-        let pos = q.position.ok_or_else(|| SimError::WrongSlice {
-            icu: q.icu,
-            instruction: instr.to_string(),
-            cycle: t,
-        })?;
-        let d_func = Cycle::from(instr.time_model().d_func);
-        match instr {
-            Instruction::Mem(op) => self.mem_op(q.icu, op, pos, t, d_func, ctx)?,
-            Instruction::Vxm(op) => self.vxm_op(q.icu, op, pos, t, d_func, ctx)?,
-            Instruction::Sxm(op) => self.sxm_op(q.icu, op, pos, t, d_func, ctx)?,
-            Instruction::C2c(op) => self.c2c_op(q.icu, op, pos, t, d_func, ctx)?,
-            Instruction::Mxm(MxmOp::InstallWeights { plane, dtype }) => {
-                self.planes[plane.index() as usize].install(*dtype);
-                let dur = u16::try_from(d_func).unwrap_or(1);
-                ctx.note_span(t, dur, q.icu, ActivityKind::MxmInstall, self.active_lanes());
-                ctx.last_effect = ctx.last_effect.max(t + d_func);
-            }
-            Instruction::Mxm(_) | Instruction::Icu(_) => {
-                return Err(SimError::WrongSlice {
-                    icu: q.icu,
-                    instruction: instr.to_string(),
-                    cycle: t,
-                })
-            }
-        }
-        Ok(())
     }
 
     fn active_lanes(&self) -> u16 {
@@ -1194,6 +830,7 @@ impl Chip {
         ctx.stream_level(self.streams.live_count());
     }
 
+    #[inline(never)]
     fn mem_op(
         &mut self,
         icu: IcuId,
@@ -1204,7 +841,7 @@ impl Chip {
         ctx: &mut RunCtx,
     ) -> Result<(), SimError> {
         let IcuId::Mem { hemisphere, index } = icu else {
-            unreachable!("validated by validate_routing")
+            unreachable!("the decode-time `routes` check keeps MEM ops on MEM queues")
         };
         match op {
             MemOp::Read { addr, stream } => {
@@ -1245,8 +882,8 @@ impl Chip {
                     .access(t, *addr, true)
                     .map_err(|error| SimError::Memory { error, icu })?;
                 if word.is_pristine() {
-                    // The interpreted-semantics store is `protect(data)`:
-                    // for a pristine word that is this very word — share it.
+                    // The store's semantics are `protect(data)`: for a
+                    // pristine word that is this very word — share it.
                     let displaced = slice.poke_shared(*addr, word);
                     if let Some(old) = displaced {
                         self.streams.recycle(old);
@@ -1323,6 +960,7 @@ impl Chip {
         Ok(())
     }
 
+    #[inline(never)]
     fn vxm_op(
         &mut self,
         icu: IcuId,
@@ -1456,6 +1094,7 @@ impl Chip {
         Ok(())
     }
 
+    #[inline(never)]
     fn sxm_op(
         &mut self,
         icu: IcuId,
@@ -1581,6 +1220,7 @@ impl Chip {
         Ok(())
     }
 
+    #[inline(never)]
     fn c2c_op(
         &mut self,
         icu: IcuId,
@@ -1623,6 +1263,7 @@ impl Chip {
     }
 
     /// One row of a multi-row MXM burst, executing at cycle `t`.
+    #[inline(never)]
     fn mxm_row(
         &mut self,
         icu: IcuId,
@@ -1750,39 +1391,6 @@ impl Chip {
         }
         Ok(())
     }
-
-    fn ifetch(
-        &mut self,
-        q: &mut QueueState,
-        stream: StreamId,
-        t: Cycle,
-        ctx: &mut RunCtx,
-    ) -> Result<(), SimError> {
-        let pos = q.position.ok_or_else(|| SimError::WrongSlice {
-            icu: q.icu,
-            instruction: "Ifetch".into(),
-            cycle: t,
-        })?;
-        // 640 bytes: a pair of 320-byte vectors on consecutive cycles. The
-        // fetched text is decoded even in timing-only runs, so it is always
-        // ECC-checked.
-        let lo = self.read_consume(q.icu, stream, pos, t, true)?;
-        let hi = self.read_consume(q.icu, stream, pos, t + 1, true)?;
-        let mut text = Vec::with_capacity(640);
-        text.extend_from_slice(lo.as_bytes());
-        text.extend_from_slice(hi.as_bytes());
-        let fetched = decode_fetch_block(&text).map_err(|e| SimError::Decode {
-            reason: e.to_string(),
-            icu: q.icu,
-            cycle: t,
-        })?;
-        ctx.bandwidth.record(Traffic::InstructionFetch, 640);
-        // The fetch occupies the queue's front end for both read cycles.
-        ctx.note_span(t, 2, q.icu, ActivityKind::Ifetch, self.active_lanes());
-        q.instructions.extend(fetched);
-        ctx.queue_depth(q.instructions.len() - q.pc);
-        Ok(())
-    }
 }
 
 /// When a queue parked at `park_t` resumes after a notify at `notify_t`:
@@ -1790,62 +1398,6 @@ impl Chip {
 /// from Notify issue to Sync retire (paper §III-A2).
 fn resume_after_barrier(park_t: Cycle, notify_t: Cycle) -> Cycle {
     park_t.max(notify_t + Cycle::from(tsp_arch::timing::BARRIER_SYNC_CYCLES))
-}
-
-/// The `iter`-th iteration of a repeated instruction. MEM addresses advance
-/// one word per iteration so `Read a,s ; Repeat n,d` streams a contiguous
-/// tensor (modeling choice, DESIGN.md §2).
-fn repeat_iteration(
-    instr: &Instruction,
-    iter: u16,
-    icu: IcuId,
-    cycle: Cycle,
-) -> Result<Instruction, SimError> {
-    let bump = |addr: tsp_isa::MemAddr| -> Result<tsp_isa::MemAddr, SimError> {
-        let w = addr.word() + iter + 1;
-        if w >= 8192 {
-            return Err(SimError::InvalidInstruction {
-                reason: format!("Repeat walked address {w:#x} past the slice"),
-                icu,
-                cycle,
-            });
-        }
-        Ok(tsp_isa::MemAddr::new(w))
-    };
-    Ok(match instr {
-        Instruction::Mem(MemOp::Read { addr, stream }) => Instruction::Mem(MemOp::Read {
-            addr: bump(*addr)?,
-            stream: *stream,
-        }),
-        Instruction::Mem(MemOp::Write { addr, stream }) => Instruction::Mem(MemOp::Write {
-            addr: bump(*addr)?,
-            stream: *stream,
-        }),
-        other => other.clone(),
-    })
-}
-
-/// Checks an instruction landed on a queue whose slice can execute it.
-fn validate_routing(icu: IcuId, instr: &Instruction, cycle: Cycle) -> Result<(), SimError> {
-    let ok = match instr {
-        Instruction::Icu(_) => true,
-        Instruction::Mem(_) => matches!(icu, IcuId::Mem { .. }),
-        Instruction::Vxm(_) => matches!(icu, IcuId::Vxm { .. }),
-        Instruction::Mxm(op) => {
-            matches!(icu, IcuId::Mxm { plane, .. } if plane == op.plane())
-        }
-        Instruction::Sxm(_) => matches!(icu, IcuId::Sxm { .. }),
-        Instruction::C2c(_) => matches!(icu, IcuId::C2c { .. }),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(SimError::WrongSlice {
-            icu,
-            instruction: instr.to_string(),
-            cycle,
-        })
-    }
 }
 
 /// Slices the running [`Telemetry`] at compiler-emitted layer boundaries.

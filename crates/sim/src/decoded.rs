@@ -12,8 +12,8 @@ use tsp_isa::decoded::{decode_queue, DecodedQueue, QueueClass};
 use crate::icu_id::IcuId;
 use crate::program::Program;
 
-/// A program lowered to decoded op spans, one queue per ICU, in the same
-/// deterministic queue order the interpreted path iterates.
+/// A program lowered to decoded op spans, one queue per ICU, in the
+/// program's deterministic queue order.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     pub(crate) queues: Vec<(IcuId, DecodedQueue)>,
@@ -33,9 +33,13 @@ pub fn class_of(icu: IcuId) -> QueueClass {
 }
 
 impl DecodedProgram {
-    /// Decodes every queue of `program`. Statically invalid instructions
-    /// never fail the decode: they become [`tsp_isa::DecodedOp::Invalid`]
-    /// ops that raise the interpreted error at their dispatch cycle.
+    /// Decodes every queue of `program`. Statically invalid instructions —
+    /// misrouted ones, caught by the decode-time `routes` check, and bad
+    /// shapes — never fail the decode: they become
+    /// [`tsp_isa::DecodedOp::Invalid`] ops that raise their [`SimError`]
+    /// at their dispatch cycle.
+    ///
+    /// [`SimError`]: crate::SimError
     #[must_use]
     pub fn decode(program: &Program) -> DecodedProgram {
         DecodedProgram {

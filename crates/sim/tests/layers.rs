@@ -1,7 +1,6 @@
 //! Per-layer telemetry slicing: layer marks partition a run's counters into
 //! slices that sum **bit-exactly** back to the whole-run telemetry, without
-//! perturbing the simulated machine in any way — and identically on both
-//! dispatch paths (decoded and interpreted).
+//! perturbing the simulated machine in any way.
 
 use tsp_arch::{ChipConfig, Hemisphere, StreamGroup, StreamId, Vector};
 use tsp_isa::{AluIndex, BinaryAluOp, DataType, MemAddr, MemOp, VxmOp};
@@ -148,40 +147,6 @@ fn layer_marks_do_not_perturb_the_run() {
     assert_eq!(report.nops, baseline.nops);
     assert_eq!(report.telemetry, baseline.telemetry);
     assert_eq!(z, z0);
-}
-
-/// Both dispatch paths produce identical slices — the decoded-vs-interpreted
-/// oracle extends to per-layer attribution.
-#[test]
-fn decoded_and_interpreted_slices_are_identical() {
-    let (baseline, _) = run(&RunOptions::default());
-    let options = with_layers(vec![
-        mark("a", baseline.cycles / 2),
-        mark("b", baseline.cycles),
-    ]);
-    let program = vector_add();
-    let seed = |chip: &mut Chip| {
-        chip.memory.write(
-            ga(Hemisphere::East, 4, 0),
-            Vector::from_fn(|i| (i % 100) as u8),
-        );
-        chip.memory.write(
-            ga(Hemisphere::East, 5, 0),
-            Vector::from_fn(|i| (i % 27) as u8),
-        );
-    };
-    let mut decoded_chip = Chip::new(ChipConfig::asic());
-    seed(&mut decoded_chip);
-    let decoded = decoded_chip
-        .run_decoded(&tsp_sim::DecodedProgram::decode(&program), &options)
-        .expect("run");
-    let mut interp_chip = Chip::new(ChipConfig::asic());
-    seed(&mut interp_chip);
-    let interpreted = interp_chip
-        .run_interpreted(&program, &options)
-        .expect("run");
-    assert_eq!(decoded.layers, interpreted.layers);
-    assert_eq!(decoded.telemetry, interpreted.telemetry);
 }
 
 /// Degenerate marks are handled exactly: a zero-width layer gets zero
