@@ -8,7 +8,7 @@
 //!   model run on the simulator must reproduce this executor exactly; any
 //!   divergence is a compiler or simulator bug, not "numerics".
 
-use crate::graph::{Graph, Op};
+use crate::graph::{ConvSpec, Graph, Op};
 use crate::quant::QuantGraph;
 
 /// A node value during fp32 execution: `Map` data is `[y][x][c]` row-major.
@@ -92,53 +92,13 @@ pub fn run_fp32(graph: &Graph, params: &crate::graph::Params, image: &[f32]) -> 
                 let ValueF::Map { h, w, c, data } = &values[node.inputs[0]] else {
                     panic!("conv on flat")
                 };
-                let cw = &params.conv[&i];
-                let (oh, ow) = out_hw(*h, *w, spec.k, spec.stride, spec.pad);
-                let mut out = vec![0f32; (oh * ow * spec.c_out) as usize];
-                let wr = reorder_conv_blocked(&cw.w, spec.c_out, *c, spec.k);
-                let cu = *c as usize;
-                let c_out = spec.c_out as usize;
-                let row = (spec.k * spec.k) as usize * cu;
-                let nblk = c_out.div_ceil(CO_BLOCK);
-                let mut taps: Vec<(usize, usize)> = Vec::with_capacity((spec.k * spec.k) as usize);
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        taps.clear();
-                        for ky in 0..spec.k {
-                            for kx in 0..spec.k {
-                                let iy = (oy * spec.stride + ky) as i64 - i64::from(spec.pad);
-                                let ix = (ox * spec.stride + kx) as i64 - i64::from(spec.pad);
-                                if iy < 0 || ix < 0 || iy >= i64::from(*h) || ix >= i64::from(*w) {
-                                    continue;
-                                }
-                                taps.push((
-                                    ((iy as u32 * *w + ix as u32) * *c) as usize,
-                                    ((ky * spec.k + kx) * *c) as usize,
-                                ));
-                            }
-                        }
-                        let obase = ((oy * ow + ox) * spec.c_out) as usize;
-                        for blk in 0..nblk {
-                            let wb = &wr[blk * row * CO_BLOCK..(blk + 1) * row * CO_BLOCK];
-                            let mut acc = [0f32; CO_BLOCK];
-                            for &(ibase, wbase) in &taps {
-                                let xs = &data[ibase..ibase + cu];
-                                let ws = &wb[wbase * CO_BLOCK..(wbase + cu) * CO_BLOCK];
-                                for (j, &x) in xs.iter().enumerate() {
-                                    let wj = &ws[j * CO_BLOCK..j * CO_BLOCK + CO_BLOCK];
-                                    for b in 0..CO_BLOCK {
-                                        acc[b] += x * wj[b];
-                                    }
-                                }
-                            }
-                            let live = (c_out - blk * CO_BLOCK).min(CO_BLOCK);
-                            for (b, &a) in acc.iter().enumerate().take(live) {
-                                out[obase + blk * CO_BLOCK + b] =
-                                    if spec.relu { a.max(0.0) } else { a };
-                            }
-                        }
+                let (oh, ow, out) = conv(data, (*h, *w, *c), spec, &params.conv[&i].w, |a| {
+                    if spec.relu {
+                        a.max(0.0)
+                    } else {
+                        a
                     }
-                }
+                });
                 ValueF::Map {
                     h: oh,
                     w: ow,
@@ -273,56 +233,23 @@ pub fn run_int8(q: &QuantGraph, image: &[i8]) -> Vec<ValueQ> {
                 let ValueQ::Map { h, w, c, data } = &values[node.inputs[0]] else {
                     panic!("conv on flat")
                 };
-                let qc = &q.conv[&i];
-                let (oh, ow) = out_hw(*h, *w, spec.k, spec.stride, spec.pad);
-                let mut out = vec![0i8; (oh * ow * spec.c_out) as usize];
-                let wr = reorder_conv_blocked(&qc.w, spec.c_out, *c, spec.k);
-                let cu = *c as usize;
-                let c_out = spec.c_out as usize;
-                let row = (spec.k * spec.k) as usize * cu;
-                let nblk = c_out.div_ceil(CO_BLOCK);
-                let mut taps: Vec<(usize, usize)> = Vec::with_capacity((spec.k * spec.k) as usize);
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        taps.clear();
-                        for ky in 0..spec.k {
-                            for kx in 0..spec.k {
-                                let iy = (oy * spec.stride + ky) as i64 - i64::from(spec.pad);
-                                let ix = (ox * spec.stride + kx) as i64 - i64::from(spec.pad);
-                                if iy < 0 || ix < 0 || iy >= i64::from(*h) || ix >= i64::from(*w) {
-                                    continue;
-                                }
-                                taps.push((
-                                    ((iy as u32 * *w + ix as u32) * *c) as usize,
-                                    ((ky * spec.k + kx) * *c) as usize,
-                                ));
-                            }
-                        }
-                        let obase = ((oy * ow + ox) * spec.c_out) as usize;
-                        for blk in 0..nblk {
-                            let wb = &wr[blk * row * CO_BLOCK..(blk + 1) * row * CO_BLOCK];
-                            let mut acc = [0i64; CO_BLOCK];
-                            for &(ibase, wbase) in &taps {
-                                let xs = &data[ibase..ibase + cu];
-                                let ws = &wb[wbase * CO_BLOCK..(wbase + cu) * CO_BLOCK];
-                                for (j, &x) in xs.iter().enumerate() {
-                                    let wj = &ws[j * CO_BLOCK..j * CO_BLOCK + CO_BLOCK];
-                                    for b in 0..CO_BLOCK {
-                                        acc[b] += i64::from(x) * i64::from(wj[b]);
-                                    }
-                                }
-                            }
-                            let live = (c_out - blk * CO_BLOCK).min(CO_BLOCK);
-                            for (b, &a) in acc.iter().enumerate().take(live) {
-                                let mut y = sat8(shift_round(a, qc.shift));
-                                if spec.relu {
-                                    y = y.max(0);
-                                }
-                                out[obase + blk * CO_BLOCK + b] = y;
-                            }
-                        }
+                // |x·w| ≤ 2^14 for int8 operands, so an i32 sum of k²·c_in
+                // products is exact while k²·c_in·2^14 < 2^31.
+                let products = u64::from(spec.k).pow(2) * u64::from(*c);
+                assert!(
+                    products << 14 < 1 << 31,
+                    "{}: {products} products per output can overflow the int32 accumulator",
+                    node.name
+                );
+                let shift = q.conv[&i].shift;
+                let (oh, ow, out) = conv(data, (*h, *w, *c), spec, &q.conv[&i].w, |a| {
+                    let y = sat8(shift_round(i64::from(a), shift));
+                    if spec.relu {
+                        y.max(0)
+                    } else {
+                        y
                     }
-                }
+                });
                 ValueQ::Map {
                     h: oh,
                     w: ow,
@@ -431,14 +358,179 @@ pub fn run_int8(q: &QuantGraph, image: &[i8]) -> Vec<ValueQ> {
     values
 }
 
-/// Output channels accumulated per pass of the reference convolutions.
+/// Output channels one pass of the reference convolution accumulates.
+const CO_BLOCK: usize = 32;
+
+/// Adjacent output columns one interior pass covers: `TILE_COLS ×
+/// CO_BLOCK` independent sums interleave, enough to hide the FP-add
+/// latency chain each of them is.
+const TILE_COLS: usize = 2;
+
+/// An element type the reference convolution runs on, with the type its
+/// products are summed in.
+trait ConvElem: Copy + Default {
+    /// The accumulator.
+    type Acc: Copy;
+    /// The empty sum.
+    const ZERO: Self::Acc;
+    /// `acc + x·w`, as one multiply and one add.
+    fn mac(acc: Self::Acc, x: Self, w: Self) -> Self::Acc;
+}
+
+impl ConvElem for f32 {
+    type Acc = f32;
+    const ZERO: f32 = 0.0;
+    #[inline(always)]
+    fn mac(acc: f32, x: f32, w: f32) -> f32 {
+        acc + x * w
+    }
+}
+
+impl ConvElem for i8 {
+    type Acc = i32;
+    const ZERO: i32 = 0;
+    #[inline(always)]
+    fn mac(acc: i32, x: i8, w: i8) -> i32 {
+        acc + i32::from(x) * i32::from(w)
+    }
+}
+
+/// One in-range kernel tap `(ky, kx)` of an output row.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    /// `(iy·w + kx)·c`: the tap's input offset for an output column whose
+    /// window starts at input column 0.
+    input: usize,
+    /// The tap's kernel column.
+    kx: u32,
+    /// `(ky·k + kx)·c`: the tap's first weight row within a block.
+    weight: usize,
+}
+
+/// Convolves a `[y][x][c]` map with `[co][ci][ky][kx]` weights; `finish`
+/// turns each output channel's sum into the stored value. Returns the output
+/// height, width and `[y][x][co]` data.
 ///
-/// Each channel keeps the textbook `(ky, kx, ci)` accumulation order — so the
-/// results are bit-identical to the naive triple loop (this matters for fp32
-/// calibration, where summation order changes the rounding) — but the eight
-/// independent accumulators hide the FP-add latency chain and let the
-/// per-element work vectorize.
-const CO_BLOCK: usize = 8;
+/// Every output channel sums its products in the textbook `(ky, kx, ci)`
+/// order over the in-range taps, starting from [`ConvElem::ZERO`], so the
+/// result is bit-identical to the naive loop, whatever the tiling (see
+/// DESIGN.md §6, "Reference executors").
+fn conv<T: ConvElem>(
+    data: &[T],
+    (h, w, c): (u32, u32, u32),
+    spec: &ConvSpec,
+    weights: &[T],
+    finish: impl Fn(T::Acc) -> T,
+) -> (u32, u32, Vec<T>) {
+    let ConvSpec { k, stride, pad, .. } = *spec;
+    let (oh, ow) = out_hw(h, w, k, stride, pad);
+    let (cu, c_out) = (c as usize, spec.c_out as usize);
+    // The output outlives the reordered weights: allocating it first keeps
+    // the freed weights on top of the heap, where they are returned.
+    let mut out = vec![T::default(); oh as usize * ow as usize * c_out];
+    let blocked = reorder_conv_blocked(weights, spec.c_out, c, k);
+    let block = (k * k) as usize * cu * CO_BLOCK;
+    // Interior columns `lo..hi` read every kx tap in range: ox·s ≥ pad and
+    // ox·s − pad + k ≤ w.
+    let lo = pad.div_ceil(stride);
+    let hi = if w + pad >= k {
+        (w + pad - k) / stride + 1
+    } else {
+        0
+    };
+    let (step, pad_off) = ((stride * c) as usize, (pad * c) as usize);
+
+    // Each output row's in-range taps, in (ky, kx) order: `taps[rows[oy]..
+    // rows[oy + 1]]`.
+    let mut taps = Vec::with_capacity((oh * k * k) as usize);
+    let mut rows = Vec::with_capacity(oh as usize + 1);
+    rows.push(0);
+    for oy in 0..oh {
+        for ky in 0..k {
+            let Some(iy) = (oy * stride + ky).checked_sub(pad).filter(|&iy| iy < h) else {
+                continue;
+            };
+            taps.extend((0..k).map(|kx| Tap {
+                input: ((iy * w + kx) * c) as usize,
+                kx,
+                weight: ((ky * k + kx) * c) as usize,
+            }));
+        }
+        rows.push(taps.len());
+    }
+
+    for (blk, wb) in blocked.chunks_exact(block).enumerate() {
+        let live = (c_out - blk * CO_BLOCK).min(CO_BLOCK);
+        let mut store = |oy: u32, ox: u32, acc: &[T::Acc; CO_BLOCK]| {
+            let at = (oy * ow + ox) as usize * c_out + blk * CO_BLOCK;
+            for (o, &a) in out[at..at + live].iter_mut().zip(acc) {
+                *o = finish(a);
+            }
+        };
+        for oy in 0..oh {
+            let row = &taps[rows[oy as usize]..rows[oy as usize + 1]];
+            let mut ox = 0;
+            while ox < ow {
+                let x0 = ox * stride;
+                // The tap moved to this column's window, which starts at
+                // input column x0 − pad.
+                let placed = |t: &Tap| Tap {
+                    input: t.input + (x0 * c) as usize - pad_off,
+                    ..*t
+                };
+                if ox >= lo && ox + TILE_COLS as u32 <= hi {
+                    let acc =
+                        accumulate::<T, TILE_COLS>(data, row.iter().map(placed), step, cu, wb);
+                    for (p, a) in (ox..).zip(&acc) {
+                        store(oy, p, a);
+                    }
+                    ox += TILE_COLS as u32;
+                } else {
+                    // A border column (some taps out of range) or the
+                    // interior remainder.
+                    let inside = row
+                        .iter()
+                        .filter(|t| x0 + t.kx >= pad && x0 + t.kx - pad < w)
+                        .map(placed);
+                    store(oy, ox, &accumulate::<T, 1>(data, inside, step, cu, wb)[0]);
+                    ox += 1;
+                }
+            }
+        }
+    }
+    (oh, ow, out)
+}
+
+/// The microkernel: sums `P` adjacent output columns × [`CO_BLOCK`]
+/// channels, column `p` reading its input at `tap.input + p·step`. For each
+/// tap in order, for each input channel in order, every one of the
+/// `P × CO_BLOCK` sums takes one product.
+#[inline(always)]
+fn accumulate<T: ConvElem, const P: usize>(
+    data: &[T],
+    taps: impl Iterator<Item = Tap>,
+    step: usize,
+    cu: usize,
+    wb: &[T],
+) -> [[T::Acc; CO_BLOCK]; P] {
+    let mut acc = [[T::ZERO; CO_BLOCK]; P];
+    for tap in taps {
+        let ws = &wb[tap.weight * CO_BLOCK..][..cu * CO_BLOCK];
+        let xs = &data[tap.input..][..(P - 1) * step + cu];
+        for (ci, wj) in ws.chunks_exact(CO_BLOCK).enumerate() {
+            let wj: &[T; CO_BLOCK] = wj.try_into().expect("CO_BLOCK chunk");
+            let x: [T; P] = std::array::from_fn(|p| xs[p * step + ci]);
+            // Columns innermost: with the channel loop inside instead, LLVM
+            // kept `acc` in memory and emitted scalar code, 3× slower.
+            for (b, &wv) in wj.iter().enumerate() {
+                for p in 0..P {
+                    acc[p][b] = T::mac(acc[p][b], x[p], wv);
+                }
+            }
+        }
+    }
+    acc
+}
 
 /// Reorders conv weights from `[co][ci][ky][kx]` into [`CO_BLOCK`]-wide
 /// output-channel blocks laid out `[blk][ky][kx][ci][b]`, zero-padding the
